@@ -55,9 +55,12 @@ fuzz-smoke:
 # bench-smoke runs every serve benchmark once (-benchtime=1x) as part of
 # make ci — not for numbers, but so the bench harness itself (fixtures,
 # pooled buffers, the v2/v3 decode paths, the wide-shard exact vs
-# two-tier prescreen pair) cannot rot between perf PRs.
+# two-tier prescreen pair) cannot rot between perf PRs. BenchmarkPair's
+# cold (fresh views) and warm (summarized views) raw-pair benches ride
+# along with -benchmem, so their allocs/op show in every ci log.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Serve' -benchtime=1x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'Pair' -benchtime=1x -benchmem ./internal/features/
 
 # bench-load is the closed-loop harness's ci smoke: train a small model
 # in-process, serve it over real loopback HTTP through the mmap-backed

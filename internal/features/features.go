@@ -18,6 +18,8 @@ package features
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"hydra/internal/attr"
@@ -250,6 +252,11 @@ type AccountView struct {
 	// aggregated topic, genre and sentiment distributions — used by the
 	// structure-consistency affinities (Eqn 9).
 	Embedding linalg.Vector
+
+	// summary caches the view's pair-independent temporal state for the
+	// pipeline that last paired it (see Pipeline.summary). A view is
+	// read-only once paired.
+	summary atomic.Pointer[viewSummary]
 }
 
 // tokDoc is one tokenized post with its vocabulary ids.
@@ -405,9 +412,12 @@ func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 	idx++
 
 	// 4-6. Multi-scale distribution similarities.
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.TopicDists, b.PostTimes, b.TopicDists)
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.GenreDists, b.PostTimes, b.GenreDists)
-	idx = p.multiScale(x, mask, idx, a.PostTimes, a.SentDists, b.PostTimes, b.SentDists)
+	sa, sb := p.summary(a), p.summary(b)
+	sc := scratchPool.Get().(*pairScratch)
+	defer scratchPool.Put(sc)
+	idx = p.multiScale(x, mask, idx, sa, a.TopicDists, sb, b.TopicDists, sc)
+	idx = p.multiScale(x, mask, idx, sa, a.GenreDists, sb, b.GenreDists, sc)
+	idx = p.multiScale(x, mask, idx, sa, a.SentDists, sb, b.SentDists, sc)
 
 	// 7. Style: S_lea = #matched / k for k in StyleKs (Eqn 4). Missing when
 	// either account has no unique words at all (no posts).
@@ -421,13 +431,12 @@ func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 		idx++
 	}
 
-	// 8. Multi-resolution behavior matching.
-	mr, mrMask, err := temporal.MultiResolutionMatch(p.sensors, p.cfg.MR, a.Acc.Events, b.Acc.Events)
-	if err == nil {
-		copy(x[idx:], mr)
-		copy(mask[idx:], mrMask)
-	}
-	idx += len(p.sensors) * len(p.cfg.MR.WindowsDays)
+	// 8. Multi-resolution behavior matching. The only error is an lq
+	// exponent below 1, raised before any entry is written: the block
+	// stays missing.
+	nmr := len(p.sensors) * len(p.cfg.MR.WindowsDays)
+	sc.signals, _ = temporal.MatchStreams(x[idx:idx+nmr], mask[idx:idx+nmr], p.sensors, p.cfg.MR, &sa.events, &sb.events, sc.signals)
+	idx += nmr
 
 	if idx != dim {
 		panic(fmt.Sprintf("features: assembled %d dims, expected %d", idx, dim))
@@ -435,17 +444,55 @@ func (p *Pipeline) Pair(a, b *AccountView) PairVector {
 	return PairVector{X: x, Mask: mask}
 }
 
+// viewSummary is one view's pair-independent temporal state under one
+// pipeline: its posts bucketed at every configured scale over the
+// pipeline's span, and its event stream in chronological order. Pair
+// builds it on a view's first touch and reuses it for every later pair,
+// so the per-pair work is a merge of two summaries instead of a rebuild
+// of both accounts' time series.
+type viewSummary struct {
+	p      *Pipeline
+	posts  temporal.PostBuckets
+	events temporal.EventStream
+}
+
+// summary returns v's temporal summary for p, building and caching it on
+// first touch. A summary is keyed to the pipeline that built it — another
+// pipeline (other scales, other span) rebuilds rather than reuses it.
+// Concurrent first touches may each build one; they are identical, and
+// the last store wins.
+func (p *Pipeline) summary(v *AccountView) *viewSummary {
+	if s := v.summary.Load(); s != nil && s.p == p {
+		return s
+	}
+	s := &viewSummary{
+		p:      p,
+		posts:  temporal.NewPostBuckets(p.span, p.cfg.ScalesDays, v.PostTimes),
+		events: temporal.NewEventStream(v.Acc.Events),
+	}
+	v.summary.Store(s)
+	return s
+}
+
+// pairScratch is the per-Pair working memory of the temporal features.
+type pairScratch struct {
+	buckets temporal.BucketScratch
+	signals []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(pairScratch) }}
+
 // multiScale writes the per-scale similarity features starting at idx and
 // returns the next index.
 func (p *Pipeline) multiScale(x linalg.Vector, mask []bool, idx int,
-	ta []time.Time, da []linalg.Vector, tb []time.Time, db []linalg.Vector) int {
+	sa *viewSummary, da []linalg.Vector, sb *viewSummary, db []linalg.Vector, sc *pairScratch) int {
 
-	vec, m, err := temporal.MultiScaleSimilarity(p.span, p.cfg.ScalesDays, ta, da, tb, db, p.topicSim)
-	if err == nil {
-		copy(x[idx:], vec)
-		copy(mask[idx:], m)
-	}
-	return idx + len(p.cfg.ScalesDays)
+	n := len(p.cfg.ScalesDays)
+	// The only error is a view whose post times and distributions differ
+	// in length, caught before any entry is written: the block stays
+	// missing.
+	_ = temporal.MergeSimilarity(x[idx:idx+n], mask[idx:idx+n], &sa.posts, da, &sb.posts, db, p.topicSim, &sc.buckets)
+	return idx + n
 }
 
 // styleSim computes Eqn 4 over the k most unique words of each side.

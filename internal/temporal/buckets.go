@@ -6,6 +6,7 @@ package temporal
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hydra/internal/linalg"
@@ -130,31 +131,148 @@ func SeriesSimilarity(a, b DistSeries, sim Similarity) (value float64, coverage 
 	return total / float64(matched), float64(matched) / float64(n), true
 }
 
+// PostBuckets is one account's pair-independent multi-scale state over a
+// range: for each configured scale, the account's in-range observations
+// sorted by bucket, index order within a bucket. Two accounts'
+// PostBuckets merge into the Figure-5 similarity vector (MergeSimilarity)
+// without materializing either DistSeries, so an account is bucketed once
+// however many pairs it takes part in. Treat it as read-only once built.
+type PostBuckets struct {
+	// n is the observation count, checked against every distribution
+	// slice merged over these buckets.
+	n int
+	// scales[s] packs each in-range observation at scale s as
+	// bucket<<32 | index, sorted ascending: bucket ids non-decreasing,
+	// indices ascending within a bucket.
+	scales [][]uint64
+}
+
+// NewPostBuckets buckets the observation times at every scale in
+// scalesDays over range r. Times outside r are dropped, as in
+// AggregateDistributions.
+func NewPostBuckets(r Range, scalesDays []int, times []time.Time) PostBuckets {
+	pb := PostBuckets{n: len(times), scales: make([][]uint64, len(scalesDays))}
+	in := 0
+	for _, t := range times {
+		if !t.Before(r.Start) && t.Before(r.End) {
+			in++
+		}
+	}
+	if in == 0 {
+		return pb
+	}
+	keys := make([]uint64, 0, in*len(scalesDays))
+	for si, days := range scalesDays {
+		scale := time.Duration(days) * Day
+		if scale <= 0 {
+			continue
+		}
+		lo := len(keys)
+		for i, t := range times {
+			if b := r.BucketOf(t, scale); b >= 0 {
+				keys = append(keys, uint64(b)<<32|uint64(i))
+			}
+		}
+		slices.Sort(keys[lo:])
+		pb.scales[si] = keys[lo:len(keys):len(keys)]
+	}
+	return pb
+}
+
+// BucketScratch holds the two bucket-mean buffers MergeSimilarity reuses
+// from bucket to bucket. The zero value is ready to use; a scratch must
+// not be shared by concurrent merges.
+type BucketScratch struct {
+	a, b linalg.Vector
+}
+
+// MergeSimilarity writes the per-scale series similarity of two accounts
+// into vec and mask (one entry per scale), merging their PostBuckets —
+// both built over the same range and scales — instead of aggregating two
+// DistSeries per scale. Only observed entries are written; vec and mask
+// must arrive zeroed.
+//
+// The result is bit-identical to AggregateDistributions followed by
+// SeriesSimilarity: each shared bucket's mean is accumulated with
+// AddScaled in observation-index order and then scaled by 1/c, and the
+// matched buckets are summed in ascending bucket order.
+func MergeSimilarity(vec linalg.Vector, mask []bool, a *PostBuckets, distsA []linalg.Vector,
+	b *PostBuckets, distsB []linalg.Vector, sim Similarity, scratch *BucketScratch) error {
+
+	if a.n != len(distsA) {
+		return fmt.Errorf("temporal: %d times but %d distributions", a.n, len(distsA))
+	}
+	if b.n != len(distsB) {
+		return fmt.Errorf("temporal: %d times but %d distributions", b.n, len(distsB))
+	}
+	for si := range a.scales {
+		ka, kb := a.scales[si], b.scales[si]
+		var total float64
+		matched := 0
+		for len(ka) > 0 && len(kb) > 0 {
+			ba, bb := ka[0]>>32, kb[0]>>32
+			na, nb := bucketRun(ka), bucketRun(kb)
+			if ba == bb {
+				total += sim(bucketMean(&scratch.a, distsA, ka[:na]), bucketMean(&scratch.b, distsB, kb[:nb]))
+				matched++
+			}
+			if ba <= bb {
+				ka = ka[na:]
+			}
+			if bb <= ba {
+				kb = kb[nb:]
+			}
+		}
+		if matched > 0 {
+			vec[si] = total / float64(matched)
+			mask[si] = true
+		}
+	}
+	return nil
+}
+
+// bucketRun returns how many leading keys share the first key's bucket.
+func bucketRun(keys []uint64) int {
+	n := 1
+	for n < len(keys) && keys[n]>>32 == keys[0]>>32 {
+		n++
+	}
+	return n
+}
+
+// bucketMean averages one bucket's distributions into *buf exactly as
+// AggregateDistributions does: a zeroed vector sized like the lowest-
+// index observation, AddScaled in index order, then Scale(1/c).
+func bucketMean(buf *linalg.Vector, dists []linalg.Vector, keys []uint64) linalg.Vector {
+	n := len(dists[uint32(keys[0])])
+	if cap(*buf) < n {
+		*buf = linalg.NewVector(n)
+	}
+	m := (*buf)[:n]
+	clear(m)
+	for _, k := range keys {
+		m.AddScaled(1, dists[uint32(k)])
+	}
+	return m.Scale(1 / float64(len(keys)))
+}
+
 // MultiScaleSimilarity evaluates SeriesSimilarity at every scale in
 // scalesDays and concatenates the results into a similarity vector — "all
 // the similarities calculated using different time scales are concatenated
 // into a similarity vector". The returned mask marks which entries are
-// observed (true) versus missing (false).
+// observed (true) versus missing (false). It buckets both accounts with
+// NewPostBuckets and merges them; AggregateDistributions followed by
+// SeriesSimilarity is the literal per-scale reference it matches bit for
+// bit.
 func MultiScaleSimilarity(r Range, scalesDays []int, timesA []time.Time, distsA []linalg.Vector,
 	timesB []time.Time, distsB []linalg.Vector, sim Similarity) (vec linalg.Vector, mask []bool, err error) {
 
+	a := NewPostBuckets(r, scalesDays, timesA)
+	b := NewPostBuckets(r, scalesDays, timesB)
 	vec = linalg.NewVector(len(scalesDays))
 	mask = make([]bool, len(scalesDays))
-	for si, days := range scalesDays {
-		scale := time.Duration(days) * Day
-		sa, err := AggregateDistributions(r, scale, timesA, distsA)
-		if err != nil {
-			return nil, nil, err
-		}
-		sb, err := AggregateDistributions(r, scale, timesB, distsB)
-		if err != nil {
-			return nil, nil, err
-		}
-		v, _, ok := SeriesSimilarity(sa, sb, sim)
-		if ok {
-			vec[si] = v
-			mask[si] = true
-		}
+	if err := MergeSimilarity(vec, mask, &a, distsA, &b, distsB, sim, new(BucketScratch)); err != nil {
+		return nil, nil, err
 	}
 	return vec, mask, nil
 }

@@ -3,7 +3,7 @@ package temporal
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"hydra/internal/linalg"
@@ -23,16 +23,15 @@ type Event struct {
 func (e Event) When() time.Time { return e.Time }
 
 // Sensor detects matched behavior patterns between two users' event streams
-// within a temporal search window. Match returns per-window stimulation
-// signals in [0,1]; the slice may be empty when no window holds events from
-// both streams.
+// within a temporal search window. The window scan itself is shared (see
+// MultiResolutionMatch); a sensor only scores one window.
 type Sensor interface {
 	// Name identifies the sensor (one similarity-vector dimension each).
 	Name() string
-	// Match scans both event streams with the given temporal search window
-	// and returns one stimulation signal per window where both users were
-	// active.
-	Match(a, b []Event, window time.Duration) []float64
+	// Stimulate returns the stimulation signal in [0,1] of one window,
+	// given each user's events in it (both non-empty), or a negative
+	// value when the window does not apply to this sensor.
+	Stimulate(ea, eb []Event) float64
 }
 
 // LocationSensor is the paper's location matching sensor: "calculates
@@ -46,32 +45,37 @@ type LocationSensor struct {
 // Name implements Sensor.
 func (s LocationSensor) Name() string { return "location" }
 
-// Match implements Sensor. Within each window the stimulation is the
-// maximum Gaussian location adjacency over all cross pairs of check-ins.
-func (s LocationSensor) Match(a, b []Event, window time.Duration) []float64 {
+// Stimulate implements Sensor: the maximum Gaussian location adjacency
+// over all cross pairs of check-ins in the window.
+func (s LocationSensor) Stimulate(ea, eb []Event) float64 {
 	sigma := s.SigmaKm
 	if sigma <= 0 {
 		sigma = 5
 	}
-	return scanWindows(a, b, window, func(ea, eb []Event) float64 {
-		best := 0.0
-		for _, x := range ea {
-			if x.MediaID != 0 {
+	best := 0.0
+	for _, x := range ea {
+		if x.MediaID != 0 {
+			continue
+		}
+		for _, y := range eb {
+			if y.MediaID != 0 {
 				continue
 			}
-			for _, y := range eb {
-				if y.MediaID != 0 {
-					continue
-				}
-				d := HaversineKm(x.Lat, x.Lon, y.Lat, y.Lon)
-				v := math.Exp(-d * d / (2 * sigma * sigma))
-				if v > best {
-					best = v
-				}
+			d := HaversineKm(x.Lat, x.Lon, y.Lat, y.Lon)
+			v := math.Exp(-d * d / (2 * sigma * sigma))
+			if v > best {
+				best = v
 			}
 		}
-		return best
-	})
+	}
+	return best
+}
+
+// Match returns the per-window stimulation signals of two raw event
+// streams at the given window: one per window where both users were
+// active. The slice may be empty.
+func (s LocationSensor) Match(a, b []Event, window time.Duration) []float64 {
+	return matchRaw(s, a, b, window)
 }
 
 // MediaSensor is the near-duplicate multimedia sensor: two events match when
@@ -82,103 +86,123 @@ type MediaSensor struct{}
 // Name implements Sensor.
 func (MediaSensor) Name() string { return "media" }
 
-// Match implements Sensor. The stimulation of a window is 1 if any media
-// fingerprint is shared, else 0; windows where either side has no media
-// events are skipped.
-func (MediaSensor) Match(a, b []Event, window time.Duration) []float64 {
-	return scanWindows(a, b, window, func(ea, eb []Event) float64 {
-		seen := make(map[uint64]bool)
-		hasA := false
-		for _, x := range ea {
-			if x.MediaID != 0 {
-				seen[x.MediaID] = true
-				hasA = true
-			}
-		}
-		if !hasA {
-			return -1 // no media on side A: window not applicable
-		}
-		hasB := false
-		for _, y := range eb {
-			if y.MediaID != 0 {
-				hasB = true
-				if seen[y.MediaID] {
-					return 1
-				}
-			}
-		}
-		if !hasB {
-			return -1
-		}
-		return 0
-	})
-}
-
-// scanWindows slides a tumbling window across the union time span of the
-// two streams and evaluates f on the events of each window. Windows where
-// either side is empty, or where f returns a negative sentinel, produce no
-// signal — that is the "missing information" the multi-resolution model is
-// designed to tolerate.
-func scanWindows(a, b []Event, window time.Duration, f func(ea, eb []Event) float64) []float64 {
-	if len(a) == 0 || len(b) == 0 || window <= 0 {
-		return nil
-	}
-	// Never sort the caller's slices in place: event streams are shared
-	// across concurrent pair computations. Streams are almost always
-	// already chronological, so the copy is rarely taken.
-	a = chronological(a)
-	b = chronological(b)
-	start := a[0].Time
-	if b[0].Time.Before(start) {
-		start = b[0].Time
-	}
-	end := a[len(a)-1].Time
-	if b[len(b)-1].Time.After(end) {
-		end = b[len(b)-1].Time
-	}
-	end = end.Add(time.Nanosecond) // make the last event inclusive
-
-	var signals []float64
-	ia, ib := 0, 0
-	for t := start; t.Before(end); t = t.Add(window) {
-		wEnd := t.Add(window)
-		ea := sliceWindow(a, &ia, wEnd)
-		eb := sliceWindow(b, &ib, wEnd)
-		if len(ea) == 0 || len(eb) == 0 {
-			continue
-		}
-		if v := f(ea, eb); v >= 0 {
-			signals = append(signals, v)
-		}
-	}
-	return signals
-}
-
-// chronological returns evs sorted by time, copying only when needed so
-// shared input slices are never mutated.
-func chronological(evs []Event) []Event {
-	sorted := true
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time.Before(evs[i-1].Time) {
-			sorted = false
+// Stimulate implements Sensor. The stimulation of a window is 1 if any
+// media fingerprint is shared, else 0; windows where either side has no
+// media events are not applicable. A window holds a handful of events, so
+// the shared-fingerprint test scans side A directly rather than building
+// a set.
+func (MediaSensor) Stimulate(ea, eb []Event) float64 {
+	hasA := false
+	for _, x := range ea {
+		if x.MediaID != 0 {
+			hasA = true
 			break
 		}
 	}
-	if sorted {
-		return evs
+	if !hasA {
+		return -1 // no media on side A: window not applicable
 	}
-	cp := append([]Event(nil), evs...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i].Time.Before(cp[j].Time) })
-	return cp
+	hasB := false
+	for _, y := range eb {
+		if y.MediaID == 0 {
+			continue
+		}
+		hasB = true
+		for _, x := range ea {
+			if x.MediaID == y.MediaID {
+				return 1
+			}
+		}
+	}
+	if !hasB {
+		return -1
+	}
+	return 0
 }
 
-// sliceWindow advances *idx past all events before wEnd and returns them.
-func sliceWindow(evs []Event, idx *int, wEnd time.Time) []Event {
-	lo := *idx
-	for *idx < len(evs) && evs[*idx].Time.Before(wEnd) {
-		*idx++
+// Match returns the per-window stimulation signals of two raw event
+// streams at the given window (see LocationSensor.Match).
+func (s MediaSensor) Match(a, b []Event, window time.Duration) []float64 {
+	return matchRaw(s, a, b, window)
+}
+
+// matchRaw runs one sensor over two raw event streams at one window.
+func matchRaw(s Sensor, a, b []Event, window time.Duration) []float64 {
+	sa, sb := NewEventStream(a), NewEventStream(b)
+	return scanWindows(nil, &sa, &sb, window, s)
+}
+
+// EventStream is one account's pair-independent half of the Figure-6
+// window scan: its events in chronological order, each with its offset
+// from the first event in nanoseconds. Build it once per account with
+// NewEventStream and treat it as read-only afterwards.
+type EventStream struct {
+	events []Event
+	off    []int64
+}
+
+// NewEventStream orders evs chronologically — copying, never sorting the
+// caller's slice in place, since event streams are shared across
+// concurrent pair computations — and records each event's offset. Events
+// are not generally stored in time order, so the copy is the common case;
+// building the stream once per account keeps it off the per-pair path.
+func NewEventStream(evs []Event) EventStream {
+	if len(evs) == 0 {
+		return EventStream{}
 	}
-	return evs[lo:*idx]
+	if !slices.IsSortedFunc(evs, compareEventTimes) {
+		evs = slices.Clone(evs)
+		slices.SortStableFunc(evs, compareEventTimes)
+	}
+	off := make([]int64, len(evs))
+	for i := range evs {
+		off[i] = int64(evs[i].Time.Sub(evs[0].Time))
+	}
+	return EventStream{events: evs, off: off}
+}
+
+func compareEventTimes(x, y Event) int { return x.Time.Compare(y.Time) }
+
+// scanWindows slides a tumbling window from the earlier of the two
+// streams' first events and evaluates s on the events of every window
+// where both streams are active, appending the non-negative signals to
+// dst. Windows where either side is empty, or where s returns a negative
+// sentinel, produce no signal — that is the "missing information" the
+// multi-resolution model is designed to tolerate.
+//
+// Offsets are int64 nanoseconds from the earlier first event, and the
+// scan jumps straight to the window holding the next event instead of
+// stepping through the empty ones; both are exact while the two streams
+// lie within time.Duration's ±292 years of each other.
+func scanWindows(dst []float64, a, b *EventStream, window time.Duration, s Sensor) []float64 {
+	if len(a.events) == 0 || len(b.events) == 0 || window <= 0 {
+		return dst
+	}
+	var baseA, baseB int64
+	if d := int64(a.events[0].Time.Sub(b.events[0].Time)); d > 0 {
+		baseA = d
+	} else {
+		baseB = -d
+	}
+	w := int64(window)
+	ia, ib := 0, 0
+	for ia < len(a.off) && ib < len(b.off) {
+		end := (min(baseA+a.off[ia], baseB+b.off[ib])/w + 1) * w
+		ja, jb := ia, ib
+		for ja < len(a.off) && baseA+a.off[ja] < end {
+			ja++
+		}
+		for jb < len(b.off) && baseB+b.off[jb] < end {
+			jb++
+		}
+		if ja > ia && jb > ib {
+			if v := s.Stimulate(a.events[ia:ja], b.events[ib:jb]); v >= 0 {
+				dst = append(dst, v)
+			}
+		}
+		ia, ib = ja, jb
+	}
+	return dst
 }
 
 // HaversineKm returns the great-circle distance between two lat/lon points
@@ -254,13 +278,28 @@ func DefaultMultiResolutionConfig() MultiResolutionConfig {
 //
 // The output layout is sensor-major: [s0w0, s0w1, ..., s1w0, ...].
 func MultiResolutionMatch(sensors []Sensor, cfg MultiResolutionConfig, a, b []Event) (linalg.Vector, []bool, error) {
+	n := len(sensors) * len(cfg.WindowsDays)
+	vec := linalg.NewVector(n)
+	mask := make([]bool, n)
+	sa, sb := NewEventStream(a), NewEventStream(b)
+	if _, err := MatchStreams(vec, mask, sensors, cfg, &sa, &sb, nil); err != nil {
+		return nil, nil, err
+	}
+	return vec, mask, nil
+}
+
+// MatchStreams is MultiResolutionMatch over two prepared streams. It
+// writes only the observed entries of vec and mask (sensor-major, length
+// len(sensors)·len(cfg.WindowsDays)), which must arrive zeroed. signals
+// is scratch for one window's stimulation signals; the possibly grown
+// buffer is returned for the next call.
+func MatchStreams(vec linalg.Vector, mask []bool, sensors []Sensor, cfg MultiResolutionConfig,
+	a, b *EventStream, signals []float64) ([]float64, error) {
+
 	nw := len(cfg.WindowsDays)
-	vec := linalg.NewVector(len(sensors) * nw)
-	mask := make([]bool, len(sensors)*nw)
 	for si, sensor := range sensors {
 		for wi, days := range cfg.WindowsDays {
-			window := time.Duration(days) * Day
-			signals := sensor.Match(a, b, window)
+			signals = scanWindows(signals[:0], a, b, time.Duration(days)*Day, sensor)
 			if len(signals) == 0 {
 				continue
 			}
@@ -271,7 +310,7 @@ func MultiResolutionMatch(sensors []Sensor, cfg MultiResolutionConfig, a, b []Ev
 				var err error
 				pooled, err = LqPool(signals, cfg.Q)
 				if err != nil {
-					return nil, nil, err
+					return signals, err
 				}
 			}
 			idx := si*nw + wi
@@ -279,5 +318,5 @@ func MultiResolutionMatch(sensors []Sensor, cfg MultiResolutionConfig, a, b []Ev
 			mask[idx] = true
 		}
 	}
-	return vec, mask, nil
+	return signals, nil
 }
